@@ -37,6 +37,7 @@ pub mod multi;
 pub mod pipeline;
 pub mod query;
 pub mod report;
+mod sink;
 
 pub use config::{PipelineConfig, QueryConfig, RetentionPolicy};
 pub use decision::{Alert, DecisionSupport, OperatorPicture};

@@ -1,15 +1,16 @@
-//! Multi-writer shard-owned ingest: N writer lanes, one tick barrier.
+//! The ingest write path: N shard-owning writer lanes, one tick barrier.
 //!
-//! [`MultiWriterPipeline`] decomposes the single-writer
-//! [`MaritimePipeline`](crate::pipeline::MaritimePipeline) ingest loop
-//! into `writers` lanes that each own a **disjoint shard set
+//! [`MultiWriterPipeline`] is the system's one write path. It splits
+//! ingest into `writers` lanes that each own a **disjoint shard set
 //! end-to-end** — reorder buffer → fuser → engine shards
 //! ([`mda_events::EngineLane`]) → store shards
 //! ([`mda_store::shards::StoreLane`]) — routed by the same
 //! [`mda_geo::vessel_shard`] hash every layer already uses (lane `w` of
 //! `n` owns the shards `s` with `s % n == w`). Lane state is touched by
 //! exactly one thread, so lanes never contend on a lock for their own
-//! data.
+//! data. [`MaritimePipeline`](crate::pipeline::MaritimePipeline) is the
+//! one-lane case, pushed per arrival; its lane runs inline on the
+//! caller's thread.
 //!
 //! ## The barrier protocol
 //!
@@ -28,39 +29,60 @@
 //!    fleet view;
 //! 2. every lane sweeps its own shards against the shared fleet view
 //!    and deposits tick events and evictions; the leader merges,
-//!    seals, and publishes the stamp `T`, then the lanes fan the
+//!    seals, marks and publishes the stamp `T`, then the lanes fan the
 //!    eviction union out to their pair state and resume.
 //!
-//! Because the router accepts/drops arrivals and fires boundaries
-//! exactly like the single-writer pipeline, everything observable —
-//! emitted event sets, archive contents, published stamps and their
-//! snapshot answers, report counters — is a pure function of the
-//! arrival stream and **invariant under the writer count**
-//! (`tests/scenario_determinism.rs`, `tests/query_consistency.rs` and
-//! `tests/multi_writer.rs` hold it to that for 1/2/4/8 writers).
+//! ## Batches and seals
+//!
+//! Two rules keep every layout on the same function of the event-time
+//! stream:
+//!
+//! - **Batch rule.** A lane cuts its canonical fix batch only at tick
+//!   boundaries and at the end of a release, never at a radar or VMS
+//!   item. A plot is routed to one lane, so cutting there would split
+//!   a same-timestamp duplicate pair in one layout and not in another,
+//!   and [`canonical_sort`] would then order the pair differently.
+//!   Radar and VMS still reach the lane's fuser in event-time order.
+//! - **Seal rule.** The seal schedule is consulted once per tick
+//!   boundary, before that boundary's mark and publication, and never
+//!   while `finish` drains the stream past the watermark.
+//!
+//! Because the router accepts/drops arrivals and fires boundaries on
+//! one schedule, everything observable — emitted events, archive
+//! contents, published stamps and their snapshot answers, report
+//! counters — is a pure function of the arrival stream and **invariant
+//! under the writer count** (`tests/scenario_determinism.rs`,
+//! `tests/query_consistency.rs` and `tests/multi_writer.rs` hold it to
+//! that for 1/2/4/8 writers). Events, archives and counters also equal
+//! the one-lane `MaritimePipeline`'s, whose epochs are single arrivals.
 //!
 //! ## Scope
 //!
-//! The lanes carry the serving-relevant stages: reorder, fusion, event
-//! recognition, synopsis compression, archive appends and
-//! route-network learning (lane parts merge exactly; see
-//! [`RouteNetwork::merge_from`]). The single-writer pipeline's
-//! console-only extras (density raster, live kNN engine, normalcy
-//! model, semantic graph, weather enrichment) stay on
-//! [`MaritimePipeline`](crate::pipeline::MaritimePipeline).
+//! The lanes carry reorder, fusion, event recognition, synopsis
+//! compression, archive appends and route-network learning (lane parts
+//! merge exactly; see [`RouteNetwork::merge_from`]). The console
+//! models — density raster, live kNN engine, normalcy model and the
+//! semantic graph with weather enrichment — live in one post-release
+//! sink, fed after each epoch with the canonical merge of the lanes'
+//! fixes, so they are available at any writer count.
 
 use crate::config::PipelineConfig;
 use crate::query::{QueryService, QueryShared, SystemSnapshot};
 use crate::report::{PipelineReport, StageMetric, StageTimer};
+use crate::sink::AnalyticsSink;
 use mda_ais::messages::AisMessage;
 use mda_ais::quality;
-use mda_events::engine::{canonical_sort, EngineLane};
+use mda_events::engine::{canonical_sort, EngineConfig, EngineLane};
 use mda_events::event::MaritimeEvent;
 use mda_events::proximity::{FleetIndex, LiveIndex};
+use mda_forecast::normalcy::NormalcyModel;
 use mda_forecast::routenet::{RouteNetPredictor, RouteNetwork};
-use mda_geo::{vessel_shard, Fix, Timestamp, VesselId};
+use mda_geo::{vessel_shard, Fix, Position, Timestamp, VesselId};
+use mda_semantics::store::TripleStore;
+use mda_semantics::term::Interner;
 use mda_sim::receivers::{RadarPlot, VmsReport};
 use mda_sim::scenario::{AisObservation, SimOutput};
+use mda_sim::weather::WeatherField;
 use mda_store::segment::SegmentConfig;
 use mda_store::shards::{StIndexConfig, StoreConfig, StoreLane};
 use mda_store::shared::SharedTrajectoryStore;
@@ -72,19 +94,19 @@ use mda_stream::watermark::{BoundedOutOfOrderness, SealSchedule, TickSchedule};
 use mda_synopses::compress::ThresholdCompressor;
 use mda_track::fusion::Fuser;
 use mda_track::sensor::{SensorKind, SensorReport};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard};
+use mda_viz::raster::DensityRaster;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An observation routed to a writer lane's reorder buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum LaneItem {
     Ais(Fix),
     Radar(RadarPlot),
     Vms(VmsReport),
 }
 
-/// Per-lane stage timings, summed into the aggregate report.
+/// Per-lane stage timings, folded into the report after each epoch.
 #[derive(Debug, Default)]
 struct LaneMetrics {
     reorder: StageMetric,
@@ -95,12 +117,25 @@ struct LaneMetrics {
     storage: StageMetric,
 }
 
+impl LaneMetrics {
+    /// Add the timings into `r` and reset them.
+    fn drain_into(&mut self, r: &mut PipelineReport) {
+        let m = std::mem::take(self);
+        r.reorder.absorb(&m.reorder);
+        r.fusion.absorb(&m.fusion);
+        r.events.absorb(&m.events);
+        r.synopses.absorb(&m.synopses);
+        r.analytics.absorb(&m.analytics);
+        r.storage.absorb(&m.storage);
+    }
+}
+
 /// One writer lane: the full per-shard pipeline for a disjoint shard
 /// set, owned by exactly one thread during an epoch.
-struct WriterLane {
+pub(crate) struct WriterLane {
     reorder: ReorderBuffer<LaneItem>,
-    fuser: Fuser,
-    engine: EngineLane,
+    pub(crate) fuser: Fuser,
+    pub(crate) engine: EngineLane,
     compressors: HashMap<VesselId, ThresholdCompressor>,
     /// This lane's additive slice of the learned route network; the
     /// published predictor merges all slices (exact under the cell
@@ -108,6 +143,10 @@ struct WriterLane {
     route_part: RouteNetwork,
     store: StoreLane,
     metrics: LaneMetrics,
+    /// This epoch's fixes and the synopsis fixes they released, each
+    /// in canonical order: the lane's hand-over to the sink.
+    processed: Vec<Fix>,
+    kept: Vec<Fix>,
     /// Tick boundaries this lane has crossed (fault-injection seam).
     boundaries_crossed: u64,
 }
@@ -116,11 +155,13 @@ struct WriterLane {
 /// written by exactly one lane before a barrier and consumed by the
 /// leader behind it.
 struct EpochScratch {
-    /// Per global shard: detector events from the interval batches.
+    /// Per global engine shard: detector events from the interval
+    /// batches.
     batch_events: Vec<Vec<MaritimeEvent>>,
-    /// Per global shard: detector events from the boundary sweep.
+    /// Per global engine shard: detector events from the boundary
+    /// sweep.
     tick_events: Vec<Vec<MaritimeEvent>>,
-    /// Per global shard: live-index clone at the boundary.
+    /// Per global engine shard: live-index clone at the boundary.
     indexes: Vec<Option<LiveIndex>>,
     /// Leader-built fleet view the lanes sweep against.
     fleet: Option<Arc<FleetIndex>>,
@@ -156,23 +197,24 @@ struct SharedState {
     /// `&mut self`, so the count cannot change mid-epoch).
     has_readers: bool,
     emitted: u64,
-    evicted: u64,
     live: u64,
     seal_sweeps: u64,
-    /// The adaptive controller, when configured. Lives behind the
-    /// shared mutex so the phase-2 barrier leader — whichever lane wins
-    /// the election — commits knob moves at each boundary, in the same
-    /// phase that seals and publishes. The router absorbs its arrival
-    /// window into it once per epoch, before any lane runs.
-    control: Option<AdaptiveController>,
     detector_counts: HashMap<&'static str, u64>,
+    /// Vessels TTL-evicted this epoch, for the sink's term cache.
+    evicted: Vec<VesselId>,
     /// Events finalised this epoch, in emission order (flush's return).
     out: Vec<MaritimeEvent>,
     scratch: EpochScratch,
 }
 
 fn lock(shared: &Mutex<SharedState>) -> MutexGuard<'_, SharedState> {
-    shared.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The shared state, reached from the router thread between epochs
+/// (no lane running, so no lock is needed).
+fn unshared(shared: &mut Mutex<SharedState>) -> &mut SharedState {
+    shared.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Concatenate per-shard deposits in global shard order and stable-sort
@@ -185,6 +227,36 @@ fn merge_deposits(lists: &mut [Vec<MaritimeEvent>]) -> Vec<MaritimeEvent> {
     }
     all.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     all
+}
+
+/// The k-way merge of the lanes' canonically sorted lists by
+/// [`canonical_sort`]'s key: lanes own disjoint vessels, so `(t,
+/// vessel)` settles every cross-lane comparison, and the stable sort
+/// keeps each lane's own order. The lists are taken, not drained, so
+/// no lane keeps an epoch-sized allocation.
+fn merge_canonical(lists: impl Iterator<Item = Vec<Fix>>) -> Vec<Fix> {
+    let mut merged = Vec::new();
+    for list in lists {
+        if merged.is_empty() {
+            merged = list;
+        } else {
+            merged.extend(list);
+        }
+    }
+    merged.sort_by_key(|f| (f.t, f.id));
+    merged
+}
+
+/// One route network from the lanes' slices.
+fn merge_routes<'a>(
+    config: &PipelineConfig,
+    parts: impl IntoIterator<Item = &'a RouteNetwork>,
+) -> RouteNetwork {
+    let mut net = RouteNetwork::new(config.bounds, config.model_cell_deg);
+    for part in parts {
+        net.merge_from(part);
+    }
+    net
 }
 
 impl SharedState {
@@ -200,12 +272,49 @@ impl SharedState {
         query.append_events(&events);
         self.out.extend(events);
     }
+
+    /// Decide whether stamp `wm` publishes, and whether that
+    /// publication rebuilds the route predictor (every
+    /// `predictor_refresh_ticks` publications; every one while `finish`
+    /// drains, so each final stamp carries the route state as of that
+    /// stamp). A write-only pipeline (no outstanding handle) publishes
+    /// nothing, and each stamp publishes at most once, so equal stamps
+    /// always mean identical state.
+    fn plan_publish(&mut self, wm: Timestamp, config: &PipelineConfig) {
+        self.scratch.publish = self.has_readers && wm > self.last_published;
+        self.scratch.want_route = false;
+        if self.scratch.publish {
+            self.ticks_since_refresh += 1;
+            let cadence = config.query.predictor_refresh_ticks.max(1);
+            if self.draining || self.ticks_since_refresh >= cadence {
+                self.scratch.want_route = true;
+                self.ticks_since_refresh = 0;
+            }
+        }
+    }
+
+    /// Publish the snapshot stamped `wm`, with `route` as the new
+    /// predictor's network when a refresh was planned. The store side
+    /// reuses unchanged shards from the previous publication.
+    fn publish(
+        &mut self,
+        wm: Timestamp,
+        route: Option<RouteNetwork>,
+        store: &SharedTrajectoryStore,
+        query: &QueryShared,
+    ) {
+        self.last_published = wm;
+        if let Some(net) = route {
+            self.published_route = Arc::new(RouteNetPredictor::new(net));
+        }
+        let snap = store.snapshot(Some(&self.store_snapshot));
+        self.store_snapshot = snap.clone();
+        let route = Arc::clone(&self.published_route);
+        query.publish(SystemSnapshot::new(wm, snap, route, self.live, self.emitted));
+    }
 }
 
-/// The multi-writer counterpart of
-/// [`MaritimePipeline`](crate::pipeline::MaritimePipeline): same push
-/// API, same event-time semantics, `writers` shard-owning lanes doing
-/// the work.
+/// The ingest pipeline over `writers` shard-owning lanes.
 ///
 /// Arrivals are routed to lanes by vessel shard, buffered per lane, and
 /// processed in **epochs**: every `ingest_batch` arrivals the router
@@ -234,24 +343,27 @@ impl SharedState {
 pub struct MultiWriterPipeline {
     config: PipelineConfig,
     writers: usize,
-    total_shards: usize,
+    store_shards: usize,
     ingest_batch: usize,
     arrivals_since_flush: usize,
     watermark: BoundedOutOfOrderness,
-    /// Mirror of the single-writer reorder frontier: arrivals at or
-    /// behind it are dropped as late, exactly as `ReorderBuffer::push`
-    /// would after a release at every arrival.
+    /// The late-drop frontier: the watermark as of the previous
+    /// arrival. Arrivals at or behind it are dropped as late, exactly
+    /// as a reorder buffer released at every arrival would. Starts at
+    /// a recovered run's published watermark, so replays of data it
+    /// already holds are dropped and the WAL mark discipline holds
+    /// across restarts.
     drop_frontier: Timestamp,
     /// Watermark of the last epoch: every accepted observation with
     /// `t <=` this has been fully processed, so it is the
     /// content-correct stamp for catch-up publications.
     released_frontier: Timestamp,
-    /// Event times of accepted, not-yet-processed observations — the
-    /// router's mirror of the lane buffers, driving the tick schedule
-    /// with the same globally sorted stream the single writer sees.
-    pending_ts: BinaryHeap<Reverse<Timestamp>>,
+    /// Distinct event times of accepted, not-yet-processed
+    /// observations — the router's mirror of the lane buffers, driving
+    /// the tick schedule with the globally sorted stream.
+    pending_ts: BTreeSet<Timestamp>,
     ticks: TickSchedule,
-    lanes: Vec<WriterLane>,
+    pub(crate) lanes: Vec<WriterLane>,
     store: SharedTrajectoryStore,
     /// Durable backing of the archive, when configured. Lanes log
     /// their fix batches through it; the phase-2 barrier leader seals
@@ -260,14 +372,18 @@ pub struct MultiWriterPipeline {
     durable: Option<Arc<DurableStore>>,
     query: Arc<QueryShared>,
     shared: Mutex<SharedState>,
-    /// Router-side counters (ingest/validation/routing); lane metrics
-    /// and shared gauges are folded in by [`MultiWriterPipeline::report`].
-    report: PipelineReport,
+    sink: AnalyticsSink,
+    /// Router counters plus, after every epoch, the lanes' timings and
+    /// the leader's gauges.
+    pub(crate) report: PipelineReport,
     /// Arrival-side observation window of the adaptive controller
     /// (`None` when static). Lives on the router thread — the one
     /// thread that sees every arrival — so observing never takes a
     /// lock.
     arrivals: Option<ArrivalWindow>,
+    /// The adaptive controller: absorbs the window and commits knob
+    /// moves (watermark delay, seal cadence, event-ring capacity).
+    pub(crate) control: Option<AdaptiveController>,
     /// The aligned frontier boundary of the last knob commit — the
     /// gate keeping the commit schedule one-per-boundary.
     last_control_commit: Timestamp,
@@ -277,32 +393,48 @@ pub struct MultiWriterPipeline {
 
 impl MultiWriterPipeline {
     /// Build a pipeline with `writers` lanes (clamped to
-    /// `1..=store_shards`).
+    /// `1..=store_shards`). Zones for the event engine and the
+    /// enricher come from `config.events.zones`.
+    ///
+    /// With [`PipelineConfig::durability`] set, the archive opens (or
+    /// recovers) a [`DurableStore`] in the configured directory: a
+    /// directory holding a previous run restores its cold segments,
+    /// hot tier and published watermark before any new observation is
+    /// accepted, and the first published stamp continues monotonically
+    /// from the recovered one.
     ///
     /// # Panics
     ///
-    /// Panics if `config.events.shards != config.store_shards` — lane
-    /// ownership is defined over the one shared shard space
-    /// ([`PipelineConfig::regional`] guarantees this).
+    /// Panics if more than one writer is asked for while
+    /// `config.events.shards != config.store_shards` — lane ownership
+    /// is defined over the one shared shard space
+    /// ([`PipelineConfig::regional`] guarantees this). Panics if the
+    /// durable data directory cannot be opened or recovered (I/O error
+    /// or corrupt manifest) — a pipeline asked for durability must not
+    /// silently run without it.
     pub fn new(config: PipelineConfig, writers: usize) -> Self {
-        assert_eq!(
-            config.events.shards.max(1),
-            config.store_shards.max(1),
+        let store_shards = config.store_shards.max(1);
+        let writers = writers.clamp(1, store_shards);
+        assert!(
+            writers == 1 || config.events.shards.max(1) == store_shards,
             "writer lanes need engine and store sharding aligned"
         );
-        let total_shards = config.store_shards.max(1);
-        let writers = writers.clamp(1, total_shards);
-        // Same TTL resolution as the single-writer pipeline: the
-        // retention policy owns the live-state TTL unless the engine
-        // config was explicitly customised.
-        let default_ttl = mda_events::engine::EngineConfig::default().vessel_ttl;
+        // The retention policy owns the live-state TTL so the detector
+        // layer and the per-vessel maps (compressors, term cache) evict
+        // together — but an explicitly customised `events.vessel_ttl`
+        // wins over the retention default.
+        let default_ttl = EngineConfig::default().vessel_ttl;
         let vessel_ttl = if config.events.vessel_ttl == default_ttl {
             config.retention.detector_ttl
         } else {
             config.events.vessel_ttl
         };
-        let events_config =
-            mda_events::engine::EngineConfig { vessel_ttl, ..config.events.clone() };
+        let events_config = EngineConfig { vessel_ttl, ..config.events.clone() };
+        let engine_shards = events_config.shards.max(1);
+        // The archive is lock-striped by vessel hash; its per-shard
+        // grid index is maintained at ingest time, and fixes older than
+        // the retention hot horizon are sealed into compressed cold
+        // segments as the watermark advances.
         let store_config = StoreConfig {
             shards: config.store_shards,
             st_index: Some(StIndexConfig {
@@ -317,9 +449,9 @@ impl MultiWriterPipeline {
                 ..SegmentConfig::default()
             },
         };
-        // Same durable wiring as the single writer: a configured data
-        // directory is opened (or recovered) before any lane exists,
-        // and the lanes share the durable store's in-memory face.
+        // A configured data directory is opened (or recovered) before
+        // any lane exists, and the lanes share the durable store's
+        // in-memory face.
         let (store, durable) = match &config.durability {
             Some(d) => {
                 let durable = DurableStore::open(store_config, d)
@@ -329,32 +461,23 @@ impl MultiWriterPipeline {
             None => (SharedTrajectoryStore::with_config(store_config), None),
         };
         let durable_floor = durable.as_ref().map_or(Timestamp::MIN, |d| d.watermark());
-        // Adaptive control: same construction as the single writer —
-        // static knobs seed the controller, clamped into bounds, and
-        // the clamped values are what actually gets applied.
-        let (arrivals, control) = match config.adaptive {
-            Some(ctl) => {
-                let initial = Knobs {
-                    delay: config.watermark_delay,
-                    seal_every: config.retention.seal_every,
-                    ring_capacity: config.query.event_capacity,
-                };
-                (
-                    Some(ArrivalWindow::new(total_shards, ctl.fast_alpha, ctl.slow_alpha)),
-                    Some(AdaptiveController::new(ctl, initial)),
-                )
-            }
-            None => (None, None),
+        // Adaptive control: the static knobs seed the controller,
+        // clamped into its bounds, and the clamped values are what
+        // actually gets applied.
+        let static_knobs = Knobs {
+            delay: config.watermark_delay,
+            seal_every: config.retention.seal_every,
+            ring_capacity: config.query.event_capacity,
         };
-        let knobs0 = control.as_ref().map_or(
-            Knobs {
-                delay: config.watermark_delay,
-                seal_every: config.retention.seal_every,
-                ring_capacity: config.query.event_capacity,
-            },
-            |c| c.knobs(),
-        );
+        let control = config.adaptive.map(|ctl| AdaptiveController::new(ctl, static_knobs));
+        let arrivals = config
+            .adaptive
+            .map(|ctl| ArrivalWindow::new(store_shards, ctl.fast_alpha, ctl.slow_alpha));
+        let knobs0 = control.as_ref().map_or(static_knobs, |c| c.knobs());
         let route_net = RouteNetwork::new(config.bounds, config.model_cell_deg);
+        // The serving layer starts on an empty snapshot stamped MIN, or
+        // with a recovered run's watermark so stamps continue
+        // monotonically.
         let published_route = Arc::new(RouteNetPredictor::new(route_net.clone()));
         let store_snapshot = store.snapshot(None);
         let query = Arc::new(QueryShared::new(
@@ -376,6 +499,8 @@ impl MultiWriterPipeline {
                 route_part: route_net.clone(),
                 store: store.lane(w, writers),
                 metrics: LaneMetrics::default(),
+                processed: Vec::new(),
+                kept: Vec::new(),
                 boundaries_crossed: 0,
             })
             .collect();
@@ -388,16 +513,15 @@ impl MultiWriterPipeline {
             draining: false,
             has_readers: false,
             emitted: 0,
-            evicted: 0,
             live: 0,
             seal_sweeps: 0,
-            control,
             detector_counts: HashMap::new(),
+            evicted: Vec::new(),
             out: Vec::new(),
             scratch: EpochScratch {
-                batch_events: (0..total_shards).map(|_| Vec::new()).collect(),
-                tick_events: (0..total_shards).map(|_| Vec::new()).collect(),
-                indexes: (0..total_shards).map(|_| None).collect(),
+                batch_events: (0..engine_shards).map(|_| Vec::new()).collect(),
+                tick_events: (0..engine_shards).map(|_| Vec::new()).collect(),
+                indexes: (0..engine_shards).map(|_| None).collect(),
                 fleet: None,
                 gone: (0..writers).map(|_| Vec::new()).collect(),
                 gone_all: Arc::new(HashSet::new()),
@@ -409,24 +533,23 @@ impl MultiWriterPipeline {
         });
         Self {
             writers,
-            total_shards,
+            store_shards,
             ingest_batch: 256,
             arrivals_since_flush: 0,
             watermark: BoundedOutOfOrderness::new(knobs0.delay),
-            // A recovered run's published watermark is the late floor:
-            // replays of data it already holds are dropped, keeping the
-            // WAL mark discipline intact across restarts.
             drop_frontier: durable_floor,
             released_frontier: durable_floor,
-            pending_ts: BinaryHeap::new(),
+            pending_ts: BTreeSet::new(),
             ticks: TickSchedule::new(config.tick_interval),
             lanes,
             store,
             durable,
             query,
             shared,
+            sink: AnalyticsSink::new(&config),
             report: PipelineReport::default(),
             arrivals,
+            control,
             last_control_commit: Timestamp::MIN,
             inject: None,
             config,
@@ -441,21 +564,15 @@ impl MultiWriterPipeline {
         self
     }
 
+    /// Attach a weather field for the semantic enrichment.
+    pub fn with_weather(mut self, field: WeatherField) -> Self {
+        self.sink.weather = Some(field);
+        self
+    }
+
     /// Number of writer lanes.
     pub fn writers(&self) -> usize {
         self.writers
-    }
-
-    /// The archival store (shared with all lane handles).
-    pub fn store(&self) -> &SharedTrajectoryStore {
-        &self.store
-    }
-
-    /// The durable backing store, when durability is configured — for
-    /// inspecting the [`mda_store::RecoveryReport`] or the durable
-    /// watermark.
-    pub fn durable(&self) -> Option<&DurableStore> {
-        self.durable.as_deref()
     }
 
     /// Test seam: make lane `lane` panic just before it arrives at its
@@ -466,8 +583,8 @@ impl MultiWriterPipeline {
     }
 
     /// Push one received AIS observation (arrival order). Returns the
-    /// events finalised by the epoch this arrival completed (usually
-    /// empty — epochs run every `ingest_batch` arrivals).
+    /// events finalised by the epoch this arrival completed (with
+    /// epochs of many arrivals, usually none).
     pub fn push_ais(&mut self, obs: &AisObservation) -> Vec<MaritimeEvent> {
         let _t = StageTimer::new(&mut self.report.ingest);
         self.report.ais_messages += 1;
@@ -492,7 +609,8 @@ impl MultiWriterPipeline {
         }
     }
 
-    /// Push one already-decoded AIS position fix (arrival order).
+    /// Push one already-decoded AIS position fix (arrival order) — the
+    /// raw-fix ingest path for feeds that bypass AIVDM decoding.
     pub fn push_fix(&mut self, fix: Fix) -> Vec<MaritimeEvent> {
         self.enqueue(fix.t, LaneItem::Ais(fix))
     }
@@ -514,78 +632,75 @@ impl MultiWriterPipeline {
     /// so any deterministic function of their content will do — they
     /// only feed the owning lane's fuser.
     fn route(&self, item: &LaneItem) -> usize {
-        match item {
-            LaneItem::Ais(fix) => vessel_shard(fix.id, self.total_shards) % self.writers,
-            LaneItem::Vms(v) => vessel_shard(v.id, self.total_shards) % self.writers,
+        let id = match item {
+            LaneItem::Ais(fix) => fix.id,
+            LaneItem::Vms(v) => v.id,
             LaneItem::Radar(plot) => {
                 let mut h = plot.t.millis() as u64;
                 h ^= plot.pos.lat.to_bits().rotate_left(17);
                 h ^= plot.pos.lon.to_bits().rotate_left(43);
-                (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.writers
+                return (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.writers;
             }
-        }
+        };
+        vessel_shard(id, self.store_shards) % self.writers
     }
 
     fn enqueue(&mut self, t: Timestamp, item: LaneItem) -> Vec<MaritimeEvent> {
-        // Same observation rule as the single writer: every AIS
-        // arrival — accepted or about to drop late — keyed by its
-        // *store* shard (writer-count invariant; lane indices are not).
-        // Radar/VMS are not observed: radar routing depends on the
-        // writer layout.
+        // Adaptive control observes every AIS arrival — including ones
+        // about to be dropped as late, since lateness pressure is
+        // exactly the signal — keyed by the *store* shard of the
+        // vessel, which is writer-count invariant. Radar/VMS routing
+        // depends on the writer layout, so those streams are not
+        // observed: the controller's inputs must be a pure function of
+        // the event-time stream.
         if let (Some(w), LaneItem::Ais(fix)) = (self.arrivals.as_mut(), &item) {
-            w.observe(t, vessel_shard(fix.id, self.total_shards));
+            w.observe(t, vessel_shard(fix.id, self.store_shards));
         }
         let lane = self.route(&item);
         {
             let _t = StageTimer::new(&mut self.report.reorder);
-            // Same acceptance rule as the single writer, which releases
-            // its buffer at every arrival: at or behind the running
-            // watermark frontier means late.
             if t <= self.drop_frontier && self.drop_frontier != Timestamp::MIN {
                 self.report.dropped_late += 1;
                 self.watermark.observe(t);
             } else {
                 let wm = self.watermark.observe(t);
                 self.drop_frontier = self.drop_frontier.max(wm);
-                self.pending_ts.push(Reverse(t));
+                self.pending_ts.insert(t);
                 let accepted = self.lanes[lane].reorder.push(t, item);
                 debug_assert!(accepted, "router accepted an item its lane rejected");
             }
         }
         self.arrivals_since_flush += 1;
-        if self.arrivals_since_flush >= self.ingest_batch {
-            self.flush()
-        } else {
-            Vec::new()
+        if self.arrivals_since_flush < self.ingest_batch {
+            return Vec::new();
         }
-    }
-
-    /// Run one epoch to the current watermark and return the events it
-    /// finalised.
-    fn flush(&mut self) -> Vec<MaritimeEvent> {
         self.arrivals_since_flush = 0;
         let wm = self.watermark.current();
         self.run_epoch(wm, false)
     }
 
-    /// Pop the mirror heap up to `wm` and fire the tick schedule with
-    /// the released stream, exactly as the single writer's interleaved
-    /// releases would.
+    /// Release the mirror up to `wm` and fire the tick schedule with
+    /// the released stream. Tick boundaries are aligned to
+    /// `tick_interval` and a boundary `T` fires after exactly the
+    /// observations with `t <= T`, so the whole tick/sweep/eviction
+    /// schedule is a pure function of the event-time stream.
     fn due_boundaries(&mut self, wm: Timestamp, draining: bool) -> (Vec<Timestamp>, bool) {
         let mut any_released = false;
         let mut boundaries = Vec::new();
-        while self.pending_ts.peek().is_some_and(|r| r.0 <= wm) {
-            let Reverse(t) = self.pending_ts.pop().expect("peeked");
+        while let Some(t) = self.pending_ts.first().copied().filter(|t| *t <= wm) {
+            self.pending_ts.pop_first();
             any_released = true;
             while let Some(b) = self.ticks.before_observation(t) {
                 boundaries.push(b);
             }
         }
+        // Boundaries between the newest released item and the aligned
+        // watermark: nothing at or before them can still be accepted.
         while let Some(b) = self.ticks.at_watermark(wm) {
             boundaries.push(b);
         }
         // End-of-stream: one trailing sweep at the final (unaligned)
-        // watermark, like the single writer's drain.
+        // watermark.
         if draining
             && self.ticks.anchored()
             && wm > self.ticks.last_boundary()
@@ -597,18 +712,18 @@ impl MultiWriterPipeline {
     }
 
     /// Frontier-clocked knob commit at the epoch start, before any
-    /// lane runs. The single writer's `commit_control`, on the epoch
-    /// schedule: epochs fire every `ingest_batch` arrivals — a
-    /// writer-count-invariant schedule — and the arrival frontier,
-    /// the hot backlog and the emitted count at an epoch start are
-    /// all pure functions of the event-time stream, so the committed
-    /// trajectory is identical at any writer count. Clocking commits
-    /// off the watermark instead would self-throttle: widening the
-    /// delay by Δ stalls the watermark (and the leader's next
-    /// boundary) for exactly Δ of frontier time, blacking out control
-    /// precisely while lateness is ramping.
+    /// lane runs: absorb the arrival window and retune once per aligned
+    /// `tick_interval` boundary *of the arrival frontier*. The frontier
+    /// — not the watermark — is the controller's clock: widening the
+    /// delay by Δ stalls the watermark (and the next watermark-aligned
+    /// boundary) for exactly Δ of frontier time, so a watermark-clocked
+    /// schedule would black out control precisely while lateness is
+    /// ramping. Epochs fire every `ingest_batch` arrivals, and the
+    /// frontier, the hot backlog and the emitted count at an epoch
+    /// start are pure functions of the event-time stream, so the
+    /// committed trajectory is identical at any writer count.
     fn commit_control(&mut self) {
-        let Some(window) = self.arrivals.as_mut() else {
+        let (Some(window), Some(ctl)) = (self.arrivals.as_mut(), self.control.as_mut()) else {
             return;
         };
         let Some(frontier) = self.watermark.frontier() else {
@@ -619,23 +734,15 @@ impl MultiWriterPipeline {
         if aligned <= self.last_control_commit {
             return;
         }
-        let knobs = {
-            let mut s = lock(&self.shared);
-            let emitted = s.emitted;
-            let Some(ctl) = s.control.as_mut() else {
-                return;
-            };
-            ctl.absorb(window);
-            let knobs = ctl.commit(aligned, self.store.hot_len() as u64, emitted);
-            s.seals.set_every(knobs.seal_every);
-            knobs
-        };
         self.last_control_commit = aligned;
-        self.query.set_event_capacity(knobs.ring_capacity);
-        // The delay knob is applied here, on the router thread — the
-        // watermark's owner. The watermark floor keeps it monotone
-        // even when the delay contracts.
+        ctl.absorb(window);
+        let knobs = ctl.commit(aligned, self.store.hot_len() as u64, self.report.events_emitted);
+        // The watermark floor keeps the watermark monotone even when
+        // the delay contracts.
         self.watermark.set_max_delay(knobs.delay);
+        unshared(&mut self.shared).seals.set_every(knobs.seal_every);
+        self.query.set_event_capacity(knobs.ring_capacity);
+        self.report.record_control(ctl.gauges(), knobs);
     }
 
     fn run_epoch(&mut self, wm: Timestamp, draining: bool) -> Vec<MaritimeEvent> {
@@ -645,28 +752,22 @@ impl MultiWriterPipeline {
             self.released_frontier = self.released_frontier.max(wm);
             return Vec::new();
         }
-        {
-            let mut s = lock(&self.shared);
-            s.has_readers = Arc::strong_count(&self.query) > 1;
-        }
+        unshared(&mut self.shared).has_readers = Arc::strong_count(&self.query) > 1;
         let shared = &self.shared;
         let store = &self.store;
         let durable = self.durable.as_deref();
         let query: &QueryShared = &self.query;
         let config = &self.config;
-        let total_shards = self.total_shards;
         let inject = self.inject;
         let boundaries = &boundaries[..];
         run_lanes(&mut self.lanes, move |w, lane, barrier| {
-            let released = {
+            let mut released = {
                 let _t = StageTimer::new(&mut lane.metrics.reorder);
-                lane.reorder.release(wm)
+                lane.reorder.release(wm).into_iter().peekable()
             };
-            let mut cursor = 0usize;
             for &b in boundaries {
-                let end = cursor + released[cursor..].partition_point(|(t, _)| *t <= b);
-                process_interval(lane, &released[cursor..end], shared, durable, config);
-                cursor = end;
+                let interval = std::iter::from_fn(|| released.next_if(|(t, _)| *t <= b));
+                process_interval(lane, interval, shared, durable, config);
                 {
                     let mut s = lock(shared);
                     for (shard, idx) in lane.engine.index_clones() {
@@ -683,20 +784,14 @@ impl MultiWriterPipeline {
                     let mut s = lock(shared);
                     let events = merge_deposits(&mut s.scratch.batch_events);
                     s.emit(events, query);
-                    let indexes: Vec<LiveIndex> = (0..total_shards)
-                        .map(|shard| s.scratch.indexes[shard].take().unwrap_or_default())
+                    let indexes: Vec<LiveIndex> = s
+                        .scratch
+                        .indexes
+                        .iter_mut()
+                        .map(|i| i.take().unwrap_or_default())
                         .collect();
                     s.scratch.fleet = Some(Arc::new(FleetIndex::snapshot(&indexes)));
-                    s.scratch.publish = s.has_readers && b > s.last_published;
-                    s.scratch.want_route = false;
-                    if s.scratch.publish {
-                        s.ticks_since_refresh += 1;
-                        let cadence = config.query.predictor_refresh_ticks.max(1);
-                        if s.draining || s.ticks_since_refresh >= cadence {
-                            s.scratch.want_route = true;
-                            s.ticks_since_refresh = 0;
-                        }
-                    }
+                    s.plan_publish(b, config);
                     drop(s);
                     barrier.release();
                 }
@@ -709,8 +804,7 @@ impl MultiWriterPipeline {
                     let _t = StageTimer::new(&mut lane.metrics.events);
                     lane.engine.sweep(b, &fleet)
                 };
-                // Dead vessels must not pin lane compressors (the
-                // single writer's `drop_evicted_state`).
+                // Dead vessels must not pin lane compressors.
                 for id in &gone {
                     lane.compressors.remove(id);
                 }
@@ -725,25 +819,25 @@ impl MultiWriterPipeline {
                         s.scratch.route_parts[w] = Some(lane.route_part.clone());
                     }
                 }
-                // Phase 2: the leader merges sweep results, seals and
-                // publishes the stamp `b`, all lanes parked.
+                // Phase 2: the leader merges sweep results, seals, marks
+                // and publishes the stamp `b`, all lanes parked.
                 if barrier.wait() == LaneRole::Leader {
-                    let mut s = lock(shared);
+                    let mut guard = lock(shared);
+                    let s = &mut *guard;
                     let events = merge_deposits(&mut s.scratch.tick_events);
                     s.emit(events, query);
-                    let mut union = HashSet::new();
-                    let mut total_gone = 0usize;
-                    for g in s.scratch.gone.iter_mut() {
-                        total_gone += g.len();
-                        union.extend(g.drain(..));
+                    let start = s.evicted.len();
+                    for g in &mut s.scratch.gone {
+                        s.evicted.append(g);
                     }
-                    s.evicted += total_gone as u64;
-                    s.scratch.gone_all = Arc::new(union);
+                    s.scratch.gone_all = Arc::new(s.evicted[start..].iter().copied().collect());
                     s.live = s.scratch.live_counts.iter().sum::<usize>() as u64;
-                    if let Some(cut) = s.seals.due(b) {
-                        // Durable seals persist the segments and rotate
-                        // the WAL; every other lane is parked at the
-                        // barrier, so the store is append-quiescent.
+                    // Seal rule: once per boundary, never in the drain.
+                    // Durable seals persist the segments and rotate the
+                    // WAL; every other lane is parked, so the store is
+                    // append-quiescent.
+                    let cut = if s.draining { None } else { s.seals.due(b) };
+                    if let Some(cut) = cut {
                         match durable {
                             Some(d) => {
                                 d.seal_before(cut).expect("persist seal sweep");
@@ -756,33 +850,20 @@ impl MultiWriterPipeline {
                     }
                     // Record the durability boundary whether or not a
                     // snapshot is published: every lane has processed
-                    // (and logged) exactly its data with `t <= b`.
+                    // (and logged) exactly its data with `t <= b`, so
+                    // durability never starves because nobody reads.
                     if let Some(d) = durable {
                         d.mark(b).expect("record durability mark");
                     }
                     if s.scratch.publish {
-                        s.last_published = b;
-                        if s.scratch.want_route {
-                            let mut net = RouteNetwork::new(config.bounds, config.model_cell_deg);
-                            for part in s.scratch.route_parts.iter_mut() {
-                                if let Some(part) = part.take() {
-                                    net.merge_from(&part);
-                                }
-                            }
-                            s.published_route = Arc::new(RouteNetPredictor::new(net));
-                        }
-                        let snap = store.snapshot(Some(&s.store_snapshot));
-                        s.store_snapshot = snap.clone();
-                        let snapshot = SystemSnapshot::new(
-                            b,
-                            snap,
-                            Arc::clone(&s.published_route),
-                            s.live,
-                            s.emitted,
-                        );
-                        query.publish(snapshot);
+                        let route = s.scratch.want_route.then(|| {
+                            let parts: Vec<RouteNetwork> =
+                                s.scratch.route_parts.iter_mut().filter_map(Option::take).collect();
+                            merge_routes(config, &parts)
+                        });
+                        s.publish(b, route, store, query);
                     }
-                    drop(s);
+                    drop(guard);
                     barrier.release();
                 }
                 let gone_all = Arc::clone(&lock(shared).scratch.gone_all);
@@ -790,7 +871,7 @@ impl MultiWriterPipeline {
                 lane.fuser.sweep(b);
             }
             // Tail interval: released data past the last boundary.
-            process_interval(lane, &released[cursor..], shared, durable, config);
+            process_interval(lane, released, shared, durable, config);
             if barrier.wait() == LaneRole::Leader {
                 let mut s = lock(shared);
                 let events = merge_deposits(&mut s.scratch.batch_events);
@@ -800,52 +881,83 @@ impl MultiWriterPipeline {
             }
         });
         self.released_frontier = self.released_frontier.max(wm);
-        std::mem::take(&mut lock(&self.shared).out)
+        self.close_epoch()
+    }
+
+    /// Close an epoch on the router thread: feed the sink the lanes'
+    /// fixes in canonical order, fold the lanes' timings and the
+    /// leader's gauges into the report, and return the epoch's events.
+    fn close_epoch(&mut self) -> Vec<MaritimeEvent> {
+        let fixes =
+            merge_canonical(self.lanes.iter_mut().map(|l| std::mem::take(&mut l.processed)));
+        let kept = merge_canonical(self.lanes.iter_mut().map(|l| std::mem::take(&mut l.kept)));
+        for lane in &mut self.lanes {
+            lane.metrics.drain_into(&mut self.report);
+        }
+        self.sink.observe(&fixes, &kept, &mut self.report);
+        let s = unshared(&mut self.shared);
+        let r = &mut self.report;
+        self.sink.forget(&s.evicted);
+        r.evicted_vessels += s.evicted.len() as u64;
+        s.evicted.clear();
+        if r.events_emitted != s.emitted {
+            r.events_emitted = s.emitted;
+            r.record_detectors(&s.detector_counts);
+        }
+        r.live_vessels = s.live;
+        let sealed = r.seal_sweeps != s.seal_sweeps;
+        r.seal_sweeps = s.seal_sweeps;
+        let out = std::mem::take(&mut s.out);
+        if sealed {
+            let stats = self.tier_stats();
+            self.report.record_tiers(&stats);
+        }
+        out
     }
 
     /// Publish a catch-up snapshot at `wm` from the router thread
-    /// (lanes idle): the single writer's off-grid `publish`, with the
-    /// lane route slices merged inline.
+    /// (lanes idle), merging the lanes' route slices directly.
     fn publish_inline(&mut self, wm: Timestamp) {
-        if Arc::strong_count(&self.query) == 1 {
-            return;
+        let s = unshared(&mut self.shared);
+        s.has_readers = Arc::strong_count(&self.query) > 1;
+        s.plan_publish(wm, &self.config);
+        if s.scratch.publish {
+            let route = s
+                .scratch
+                .want_route
+                .then(|| merge_routes(&self.config, self.lanes.iter().map(|l| &l.route_part)));
+            s.publish(wm, route, &self.store, &self.query);
         }
-        let mut s = lock(&self.shared);
-        if wm <= s.last_published {
-            return;
-        }
-        s.last_published = wm;
-        s.ticks_since_refresh += 1;
-        let cadence = self.config.query.predictor_refresh_ticks.max(1);
-        if s.draining || s.ticks_since_refresh >= cadence {
-            let mut net = RouteNetwork::new(self.config.bounds, self.config.model_cell_deg);
-            for lane in &self.lanes {
-                net.merge_from(&lane.route_part);
-            }
-            s.published_route = Arc::new(RouteNetPredictor::new(net));
-            s.ticks_since_refresh = 0;
-        }
-        let snap = self.store.snapshot(Some(&s.store_snapshot));
-        s.store_snapshot = snap.clone();
-        let snapshot =
-            SystemSnapshot::new(wm, snap, Arc::clone(&s.published_route), s.live, s.emitted);
-        self.query.publish(snapshot);
     }
 
     /// Drain everything buffered (end of stream); returns the remaining
-    /// events. Terminal like the single writer's `finish`: later
-    /// arrivals are dropped as late.
+    /// events.
+    ///
+    /// `finish` is terminal for the data plane: observations pushed
+    /// afterwards are dropped as late (counted in `dropped_late`) —
+    /// they can no longer be emitted in order. The published serving
+    /// stamp runs ahead of the tick grid to the final watermark and
+    /// never regresses.
     pub fn finish(&mut self) -> Vec<MaritimeEvent> {
-        // The *current* delay, not the configured one — adaptive
-        // control may have retuned it.
-        let now = self.watermark.current().saturating_add(self.watermark.max_delay());
+        // `now` is the maximum event time seen (watermark + delay),
+        // independent of arrival order. The *current* delay, not the
+        // configured one — adaptive control may have retuned it.
+        let wm = self.watermark.current();
+        let now = wm.saturating_add(self.watermark.max_delay());
         self.drop_frontier = Timestamp::MAX;
-        lock(&self.shared).draining = true;
-        let events = self.run_epoch(now, true);
+        // Close the open epoch first, so that at every epoch size the
+        // boundaries up to the watermark run (and seal) as regular ones
+        // and the drain covers exactly what lies past the watermark.
+        let mut events = self.run_epoch(wm, false);
+        unshared(&mut self.shared).draining = true;
+        events.extend(self.run_epoch(now, true));
         // End-of-stream publication (dedupes against a trailing tick).
         self.publish_inline(now);
-        lock(&self.shared).draining = false;
+        unshared(&mut self.shared).draining = false;
         self.arrivals_since_flush = 0;
+        // Leave the tier counters fresh for whoever reads the report.
+        let stats = self.tier_stats();
+        self.report.record_tiers(&stats);
         events
     }
 
@@ -876,47 +988,50 @@ impl MultiWriterPipeline {
         events
     }
 
-    /// A cloneable, thread-safe read front-end over this pipeline —
-    /// same contract as the single writer's `query_service`. A new
-    /// handle is caught up to the released frontier (the stamp at
-    /// which every accepted observation has been processed).
+    /// A cloneable, thread-safe read front-end over this pipeline.
+    ///
+    /// Hand clones to as many reader threads as you like: they serve
+    /// point/window/kNN/predictive queries and event subscriptions
+    /// against consistent watermark-stamped snapshots, published at
+    /// every tick boundary, while this pipeline keeps ingesting. See
+    /// [`QueryService`] for the vocabulary and the isolation contract.
+    ///
+    /// Publication is skipped while no handle exists (write-only
+    /// pipelines pay nothing), so a new handle is caught up to the
+    /// released frontier: the stamp at which every accepted
+    /// observation has been processed.
+    ///
+    /// ```
+    /// use mda_core::{MaritimePipeline, PipelineConfig};
+    /// use mda_geo::{BoundingBox, Fix, Position, Timestamp};
+    ///
+    /// let bounds = BoundingBox::new(42.0, 3.0, 44.0, 6.0);
+    /// let mut pipeline = MaritimePipeline::new(PipelineConfig::regional(bounds));
+    /// let service = pipeline.query_service();
+    /// let reader = std::thread::spawn({
+    ///     let service = service.clone();
+    ///     move || service.fleet().watermark
+    /// });
+    /// reader.join().unwrap();
+    /// for i in 0..60i64 {
+    ///     let pos = Position::new(43.0, 5.0 + 0.002 * i as f64);
+    ///     pipeline.push_fix(Fix::new(1, Timestamp::from_mins(i), pos, 10.0, 90.0));
+    /// }
+    /// pipeline.finish();
+    /// assert!(service.latest(1).value.is_some());
+    /// ```
     pub fn query_service(&mut self) -> QueryService {
         let service = QueryService::new(Arc::clone(&self.query));
         self.publish_inline(self.released_frontier);
         service
     }
 
-    /// Aggregate report: router counters plus shared gauges plus the
-    /// per-lane stage timings summed across lanes. Counters and gauges
-    /// are writer-count invariant; timing sums are not (they add busy
-    /// time across lanes).
+    /// The pipeline report: counters, gauges and stage timings summed
+    /// across lanes. Counters and gauges are writer-count invariant;
+    /// timing sums are not (they add busy time across lanes). Tier
+    /// counters are refreshed at every seal sweep and at `finish`.
     pub fn report(&self) -> PipelineReport {
-        let mut r = self.report.clone();
-        {
-            let s = lock(&self.shared);
-            r.events_emitted = s.emitted;
-            r.evicted_vessels = s.evicted;
-            r.live_vessels = s.live;
-            r.seal_sweeps = s.seal_sweeps;
-            r.record_detectors(&s.detector_counts);
-            if let Some(ctl) = &s.control {
-                r.record_control(ctl.gauges(), ctl.knobs());
-            }
-        }
-        let stats = match &self.durable {
-            Some(d) => d.tier_stats(),
-            None => self.store.tier_stats(),
-        };
-        r.record_tiers(&stats);
-        for lane in &self.lanes {
-            r.reorder.absorb(&lane.metrics.reorder);
-            r.fusion.absorb(&lane.metrics.fusion);
-            r.events.absorb(&lane.metrics.events);
-            r.synopses.absorb(&lane.metrics.synopses);
-            r.analytics.absorb(&lane.metrics.analytics);
-            r.storage.absorb(&lane.metrics.storage);
-        }
-        r
+        self.report.clone()
     }
 
     /// The adaptive controller's committed knob trajectory —
@@ -925,84 +1040,188 @@ impl MultiWriterPipeline {
     /// identical traces at any writer count: every controller input is
     /// a writer-count-invariant function of the event-time stream.
     pub fn control_trace(&self) -> Vec<(Timestamp, Knobs)> {
-        lock(&self.shared).control.as_ref().map_or_else(Vec::new, |c| c.trace().to_vec())
+        self.control.as_ref().map_or_else(Vec::new, |c| c.trace().to_vec())
+    }
+
+    /// The archival (synopsis) store, shared with all lane handles.
+    pub fn store(&self) -> &SharedTrajectoryStore {
+        &self.store
+    }
+
+    /// Per-tier archive accounting: hot/cold fix counts, approximate
+    /// bytes and segment count, fresh from the store. With durability
+    /// configured, `disk_bytes` reports the real on-disk footprint
+    /// (segment files + WAL + manifest); otherwise it is zero.
+    pub fn tier_stats(&self) -> mda_store::TierStats {
+        match &self.durable {
+            Some(d) => d.tier_stats(),
+            None => self.store.tier_stats(),
+        }
+    }
+
+    /// The durable backing store, when durability is configured — for
+    /// inspecting the [`mda_store::RecoveryReport`] or the durable
+    /// watermark.
+    pub fn durable(&self) -> Option<&DurableStore> {
+        self.durable.as_deref()
+    }
+
+    /// Archived fixes inside a spatial window and time range, served by
+    /// the store's incrementally-maintained per-shard grid indexes for
+    /// the hot tier and fence-filtered segment decodes for the cold
+    /// tier.
+    pub fn archive_window(
+        &self,
+        area: &mda_geo::BoundingBox,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Vec<Fix> {
+        self.store.window(area, from, to)
+    }
+
+    /// Bulk-load historical fixes into the archive with `workers` ingest
+    /// threads routed shard-affine: each worker exclusively owns a set
+    /// of store shards, so workers never contend on a shard lock. Fixes
+    /// bypass the streaming stages (no compression, events or model
+    /// learning) — this is the archive backfill path. Per-vessel input
+    /// order is preserved. Returns the number of fixes loaded.
+    pub fn backfill_archive(&self, fixes: Vec<Fix>, workers: usize) -> usize {
+        let n = fixes.len();
+        let shards = self.store.shard_count();
+        mda_stream::runner::run_shard_affine(
+            fixes,
+            workers.max(1),
+            shards,
+            |f: &Fix| self.store.shard_of(f.id),
+            || {
+                let store = self.store.clone();
+                let durable = self.durable.clone();
+                move |batch: Vec<Fix>| {
+                    if let Some(d) = &durable {
+                        d.log_batch(&batch).expect("write-ahead-log backfill batch");
+                    }
+                    store.append_batch(batch);
+                    Vec::<()>::new()
+                }
+            },
+        );
+        n
+    }
+
+    /// Snapshot kNN over the live fleet.
+    pub fn knn(&self, query: Position, t: Timestamp, k: usize) -> Vec<mda_store::knn::KnnResult> {
+        self.sink.knn.knn(query, t, k)
+    }
+
+    /// The live knowledge graph and its interner.
+    pub fn graph(&self) -> (&TripleStore, &Interner) {
+        (&self.sink.graph, &self.sink.interner)
+    }
+
+    /// A predictor over the route network learned so far.
+    pub fn route_predictor(&self) -> RouteNetPredictor {
+        RouteNetPredictor::new(merge_routes(&self.config, self.lanes.iter().map(|l| &l.route_part)))
+    }
+
+    /// The learned normalcy model.
+    pub fn normalcy(&self) -> &NormalcyModel {
+        &self.sink.normalcy
+    }
+
+    /// The traffic-density raster accumulated so far.
+    pub fn raster(&self) -> &DensityRaster {
+        &self.sink.raster
+    }
+
+    /// Overall synopsis compression ratio across vessels.
+    pub fn compression_ratio(&self) -> f64 {
+        // lint:allow(deterministic-iteration): commutative sum over
+        // per-vessel counters; the fold result is order-free.
+        let (seen, kept) = self.lanes.iter().flat_map(|l| l.compressors.values()).fold(
+            (0u64, 0u64),
+            |(s, k), c| {
+                let (cs, ck) = c.counts();
+                (s + cs, k + ck)
+            },
+        );
+        if seen == 0 {
+            0.0
+        } else {
+            1.0 - kept as f64 / seen as f64
+        }
+    }
+
+    /// Current event-time watermark.
+    pub fn watermark(&self) -> Timestamp {
+        self.watermark.current()
     }
 }
 
-/// Process one lane's released items up to a boundary: fuse, recognise,
-/// compress, archive, learn — the single writer's `process_released` +
-/// `process_fix_batch` restricted to the lane's shards. Per-shard
-/// detector events are deposited into the epoch scratch.
+/// Process one lane's released items up to a boundary (or the end of
+/// the release) as one canonical batch: fuse, recognise, compress,
+/// archive, learn. Per-shard detector events are deposited into the
+/// epoch scratch; the fixes are kept for the sink.
 fn process_interval(
     lane: &mut WriterLane,
-    items: &[(Timestamp, LaneItem)],
+    items: impl Iterator<Item = (Timestamp, LaneItem)>,
     shared: &Mutex<SharedState>,
     durable: Option<&DurableStore>,
     config: &PipelineConfig,
 ) {
-    let mut batch: Vec<Fix> = Vec::new();
+    let mut fixes: Vec<Fix> = Vec::new();
+    let mut sensors: Vec<SensorReport> = Vec::new();
     for (_, item) in items {
-        match item {
-            LaneItem::Ais(fix) => batch.push(*fix),
-            LaneItem::Radar(plot) => {
-                flush_fix_batch(lane, &mut batch, shared, durable, config);
-                let _t = StageTimer::new(&mut lane.metrics.fusion);
-                lane.fuser.ingest(&SensorReport {
-                    kind: SensorKind::Radar,
-                    t: plot.t,
-                    pos: plot.pos,
-                    claimed_id: None,
-                    sog_kn: None,
-                    cog_deg: None,
-                    accuracy_m: None,
-                });
+        let (kind, t, pos, claimed_id) = match item {
+            LaneItem::Ais(fix) => {
+                fixes.push(fix);
+                continue;
             }
-            LaneItem::Vms(v) => {
-                flush_fix_batch(lane, &mut batch, shared, durable, config);
-                let _t = StageTimer::new(&mut lane.metrics.fusion);
-                lane.fuser.ingest(&SensorReport {
-                    kind: SensorKind::Vms,
-                    t: v.t,
-                    pos: v.pos,
-                    claimed_id: Some(v.id),
-                    sog_kn: None,
-                    cog_deg: None,
-                    accuracy_m: None,
-                });
-            }
-        }
+            LaneItem::Radar(plot) => (SensorKind::Radar, plot.t, plot.pos, None),
+            LaneItem::Vms(v) => (SensorKind::Vms, v.t, v.pos, Some(v.id)),
+        };
+        sensors.push(SensorReport {
+            kind,
+            t,
+            pos,
+            claimed_id,
+            sog_kn: None,
+            cog_deg: None,
+            accuracy_m: None,
+        });
     }
-    flush_fix_batch(lane, &mut batch, shared, durable, config);
-}
-
-/// One canonical fix batch through a lane's stages.
-fn flush_fix_batch(
-    lane: &mut WriterLane,
-    batch: &mut Vec<Fix>,
-    shared: &Mutex<SharedState>,
-    durable: Option<&DurableStore>,
-    config: &PipelineConfig,
-) {
-    if batch.is_empty() {
+    if fixes.is_empty() && sensors.is_empty() {
         return;
     }
-    let mut fixes = std::mem::take(batch);
-    // Same canonical content order as the single writer's batches: a
-    // lane subset sorted by the same total order yields the same
-    // per-shard subsequences a global sort would.
+    // Canonical content order: the synopsis and archive paths see
+    // same-timestamp duplicates in a content order too, so no arrival
+    // shuffle within the watermark delay changes which fix a
+    // compressor keeps. A lane subset sorted by the same total order
+    // yields the same per-shard subsequences a global sort would.
     canonical_sort(&mut fixes);
     {
+        // Fixes and sensor reports reach the fuser in event-time order,
+        // fixes first at equal times.
         let _t = StageTimer::new(&mut lane.metrics.fusion);
+        let mut sensors = sensors.iter().peekable();
         for fix in &fixes {
+            while let Some(report) = sensors.next_if(|r| r.t < fix.t) {
+                lane.fuser.ingest(report);
+            }
             lane.fuser.ingest(&SensorReport::from_fix(SensorKind::AisTerrestrial, fix));
         }
+        for report in sensors {
+            lane.fuser.ingest(report);
+        }
+    }
+    if fixes.is_empty() {
+        return;
     }
     let per_shard = {
         let _t = StageTimer::new(&mut lane.metrics.events);
         lane.engine.observe_sorted(&fixes)
     };
     let mut kept_batch: Vec<Fix> = Vec::new();
-    for fix in fixes {
+    for &fix in &fixes {
         let kept = {
             let _t = StageTimer::new(&mut lane.metrics.synopses);
             lane.compressors
@@ -1014,11 +1233,10 @@ fn flush_fix_batch(
             let _t = StageTimer::new(&mut lane.metrics.analytics);
             lane.route_part.learn(&fix);
         }
-        if let Some(kept) = kept {
-            kept_batch.push(kept);
-        }
+        kept_batch.extend(kept);
     }
-    // Batched store append: one writer-lock acquisition per touched
+    lane.processed.extend_from_slice(&fixes);
+    // One batched store append: one writer-lock acquisition per touched
     // shard and one amortised per-vessel merge, instead of a per-fix
     // lock + sorted insert.
     if !kept_batch.is_empty() {
@@ -1033,6 +1251,7 @@ fn flush_fix_batch(
         let _t = StageTimer::new(&mut lane.metrics.storage);
         d.log_batch(&kept_batch).expect("write-ahead-log lane batch");
     }
+    lane.kept.extend(kept_batch);
     if per_shard.iter().any(|(_, events)| !events.is_empty()) {
         let mut s = lock(shared);
         for (shard, events) in per_shard {

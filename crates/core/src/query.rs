@@ -271,10 +271,11 @@ impl QueryShared {
 }
 
 /// A cloneable, thread-safe read front-end over a running
-/// [`MaritimePipeline`](crate::pipeline::MaritimePipeline).
+/// [`MaritimePipeline`](crate::pipeline::MaritimePipeline) or
+/// [`MultiWriterPipeline`](crate::multi::MultiWriterPipeline).
 ///
 /// Obtain one with
-/// [`MaritimePipeline::query_service`](crate::pipeline::MaritimePipeline::query_service),
+/// [`query_service`](crate::multi::MultiWriterPipeline::query_service),
 /// clone it into as many reader threads as you like, and keep querying
 /// while the pipeline ingests on its own thread. Every answer is
 /// [`Stamped`] with the watermark of the consistent snapshot that

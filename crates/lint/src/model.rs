@@ -135,6 +135,7 @@ pub const EMISSION_SURFACE: &[&str] = &[
     "crates/events/src/ring.rs",
     "crates/core/src/pipeline.rs",
     "crates/core/src/multi.rs",
+    "crates/core/src/sink.rs",
     "crates/core/src/query.rs",
     "crates/semantics/src/store.rs",
     "crates/semantics/src/query.rs",

@@ -11,7 +11,7 @@
 //! ## Loss accounting
 //!
 //! Three counters, three distinct meanings, all cumulative per session
-//! and reported in every [`EventBatch`](crate::wire::EventBatch):
+//! and reported in every [`EventBatch`]:
 //!
 //! - `missed` — events that aged out of ring retention before the
 //!   session's cursor reached them. Real loss; whether they matched

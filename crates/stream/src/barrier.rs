@@ -126,7 +126,10 @@ impl TickBarrier {
         s.leader_pending = false;
         s.generation = s.generation.wrapping_add(1);
         drop(s);
-        self.cvar.notify_all();
+        // A lone party has no follower to wake.
+        if self.parties > 1 {
+            self.cvar.notify_all();
+        }
     }
 
     /// Poison the barrier: every parked lane (and every future
@@ -174,6 +177,9 @@ fn is_abandon_payload(payload: &(dyn std::any::Any + Send)) -> bool {
 /// index, exclusive access to that lane's state, and the barrier;
 /// results come back in lane order.
 ///
+/// A single lane runs inline on the caller's thread: it is always the
+/// leader, and a panic in it unwinds straight into the caller.
+///
 /// If any lane panics, the barrier is abandoned (no deadlocked scope),
 /// every other lane unwinds at its next `wait`, and the *original*
 /// panic is re-raised after all lanes have been joined.
@@ -185,8 +191,10 @@ where
     T: Send,
     R: Send,
 {
-    if lanes.is_empty() {
-        return Vec::new();
+    match lanes {
+        [] => return Vec::new(),
+        [lane] => return vec![f(0, lane, &TickBarrier::new(1))],
+        _ => {}
     }
     let barrier = TickBarrier::new(lanes.len());
     let results: Vec<thread::Result<R>> = thread::scope(|scope| {
@@ -372,6 +380,24 @@ mod tests {
         }));
         assert!(result.is_err(), "writer-side panic must surface");
         assert!(polls.load(Ordering::Relaxed) > 0, "readers ran before release");
+    }
+
+    #[test]
+    fn single_lane_runs_inline_and_panics_reach_the_caller() {
+        let caller = thread::current().id();
+        let mut one = vec![0u32];
+        let ran_on = run_lanes(&mut one, |_, _, barrier| {
+            assert_eq!(barrier.wait(), LaneRole::Leader);
+            barrier.release();
+            thread::current().id()
+        });
+        assert_eq!(ran_on, vec![caller], "one lane must not spawn a thread");
+
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_lanes(&mut one, |_, _, _| -> () { panic!("inline lane fault") });
+        }));
+        let payload = result.expect_err("the lane's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("inline lane fault"));
     }
 
     #[test]

@@ -16,12 +16,21 @@
 //!    multi-writer scenario observe monotone stamps, snapshot-isolated
 //!    state, and a cursor-polling subscriber reassembles exactly the
 //!    event stream the writer lanes emitted.
+//! 4. **Lane divergence regressions** — same-timestamp duplicate
+//!    payloads split by a radar plot on another lane, and a 200-vessel
+//!    scenario, give exactly the same events and archive at 1 and 2
+//!    writers; seals skip `finish`'s drain and agree between epoch
+//!    sizes; the post-release sink's models, and events, archives,
+//!    counters and tier stats, agree with the one-lane
+//!    `MaritimePipeline`.
 
 use maritime::core::query::SystemSnapshot;
 use maritime::core::{MaritimePipeline, MultiWriterPipeline, PipelineConfig};
+use maritime::events::MaritimeEvent;
 use maritime::geo::time::HOUR;
 use maritime::geo::{BoundingBox, Fix, Position, Timestamp};
-use maritime::sim::{Scenario, ScenarioConfig};
+use maritime::sim::receivers::RadarPlot;
+use maritime::sim::{Scenario, ScenarioConfig, SimOutput};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -346,4 +355,180 @@ fn multi_writer_with_concurrent_readers() {
         subscriber.polled, writer_events,
         "cursor polling must reassemble the emitted event stream exactly"
     );
+}
+
+/// Events plus every archived trajectory, in vessel order.
+type Outcome = (Vec<MaritimeEvent>, Vec<(u32, Option<Vec<Fix>>)>);
+
+fn outcome(pipeline: &MultiWriterPipeline, events: Vec<MaritimeEvent>) -> Outcome {
+    let store = pipeline.store();
+    (events, store.vessels().iter().map(|&id| (id, store.trajectory(id))).collect())
+}
+
+/// An arrival of the crafted duplicate-pair stream.
+enum Crafted {
+    Fix(Fix),
+    Plot(RadarPlot),
+}
+
+/// Three vessels sail steadily east, one fix a minute. Every 10 minutes
+/// each also transmits a same-timestamp duplicate 0.01° north of its
+/// track. The duplicate arrives first — against the canonical order,
+/// which sorts the higher latitude second — then a radar plot at the
+/// same instant, then the on-track fix. The plot's content hash routes
+/// it to one of two lanes; on the vessel's own lane it cuts nothing in
+/// any layout, on the other lane a frontend that cut fix batches at
+/// plots would process the pair in a different order with one lane
+/// than with two.
+fn duplicate_pair_stream() -> Vec<Crafted> {
+    let mut items = Vec::new();
+    for i in 0..150i64 {
+        let t = Timestamp::from_mins(i);
+        for v in 1..=3u32 {
+            let on_track = Position::new(42.3 + 0.4 * f64::from(v), 3.5 + 0.003 * i as f64);
+            let fix = Fix::new(v, t, on_track, 10.0, 90.0);
+            if i % 10 == 5 {
+                let north = Position::new(on_track.lat + 0.01, on_track.lon);
+                items.push(Crafted::Fix(Fix::new(v, t, north, 10.0, 90.0)));
+                let plot = Position::new(42.1 + 0.013 * i as f64, 3.1 + 0.017 * f64::from(v));
+                items.push(Crafted::Plot(RadarPlot { t, pos: plot, truth_id: v }));
+            }
+            items.push(Crafted::Fix(fix));
+        }
+    }
+    items
+}
+
+#[test]
+fn duplicate_pair_split_by_a_plot_is_writer_count_invariant() {
+    let items = duplicate_pair_stream();
+    let run = |writers: usize| {
+        let mut pipeline = MultiWriterPipeline::new(battery_config(), writers);
+        let mut events = Vec::new();
+        for item in &items {
+            events.extend(match item {
+                Crafted::Fix(fix) => pipeline.push_fix(*fix),
+                Crafted::Plot(plot) => pipeline.push_radar(plot),
+            });
+        }
+        events.extend(pipeline.finish());
+        outcome(&pipeline, events)
+    };
+    let one = run(1);
+    assert!(one.1.iter().all(|(_, t)| t.is_some()), "every vessel is archived");
+    assert_eq!(run(2), one, "2 writer lanes diverged from 1 on duplicate pairs");
+}
+
+/// A regional scenario configured with its world's zones.
+fn zoned_config(sim: &SimOutput) -> PipelineConfig {
+    let mut config = PipelineConfig::regional(sim.world.bounds);
+    config.events.zones = maritime::zones_of_world(&sim.world);
+    config
+}
+
+#[test]
+fn regional_scenario_is_exactly_writer_count_invariant() {
+    let sim = Scenario::generate(ScenarioConfig::regional(5, 200, 2 * HOUR));
+    let run = |writers: usize| {
+        let mut pipeline = MultiWriterPipeline::new(zoned_config(&sim), writers);
+        let events = pipeline.run_scenario(&sim);
+        outcome(&pipeline, events)
+    };
+    let one = run(1);
+    assert!(!one.0.is_empty(), "scenario must produce events");
+    let two = run(2);
+    assert_eq!(two.0.len(), one.0.len(), "event counts diverged");
+    assert_eq!(two, one, "2 writer lanes diverged from 1");
+}
+
+#[test]
+fn sink_models_are_writer_count_invariant() {
+    let sim = Scenario::generate(ScenarioConfig::regional(17, 24, 2 * HOUR));
+    let probe = Position::new(
+        (sim.world.bounds.min_lat + sim.world.bounds.max_lat) / 2.0,
+        (sim.world.bounds.min_lon + sim.world.bounds.max_lon) / 2.0,
+    );
+    let models = |p: &MultiWriterPipeline| {
+        (
+            p.raster().total(),
+            p.graph().0.len(),
+            p.normalcy().cell_count(),
+            p.knn(probe, p.watermark(), 5),
+        )
+    };
+    let mut classic = MaritimePipeline::new(zoned_config(&sim)).with_weather(sim.weather.clone());
+    classic.run_scenario(&sim);
+    let reference = models(&classic);
+    assert!(
+        reference.0 > 1_000 && reference.1 > 50 && reference.2 > 10,
+        "sink models stayed empty"
+    );
+    assert_eq!(reference.3.len(), 5, "kNN must see the fleet at the final watermark");
+    for writers in [1usize, 4] {
+        let mut p =
+            MultiWriterPipeline::new(zoned_config(&sim), writers).with_weather(sim.weather.clone());
+        p.run_scenario(&sim);
+        assert_eq!(models(&p), reference, "{writers} writer lanes: sink models diverged");
+    }
+}
+
+#[test]
+fn lanes_match_the_one_lane_frontend_exactly() {
+    let sim = Scenario::generate(ScenarioConfig::regional(23, 20, 3 * HOUR));
+    let fingerprint = |events: Vec<MaritimeEvent>, report: &maritime::core::PipelineReport| {
+        (
+            events,
+            (report.events_emitted, report.detector_counts.clone(), report.evicted_vessels),
+            (report.live_vessels, report.seal_sweeps, report.dropped_late, report.ais_messages),
+            (report.hot_fixes, report.cold_fixes, report.cold_segments),
+            (report.hot_bytes, report.cold_bytes),
+        )
+    };
+    let mut classic = MaritimePipeline::new(zoned_config(&sim));
+    let classic_events = classic.run_scenario(&sim);
+    let reference = fingerprint(classic_events, classic.report());
+    assert!(reference.2 .1 > 0, "3 h must cross seal sweeps");
+    for writers in [1usize, 2, 4, 8] {
+        let mut p = MultiWriterPipeline::new(zoned_config(&sim), writers);
+        let events = p.run_scenario(&sim);
+        assert_eq!(fingerprint(events, &p.report()), reference, "{writers} writer lanes diverged");
+        for id in classic.store().vessels() {
+            assert_eq!(p.store().trajectory(id), classic.store().trajectory(id), "vessel {id}");
+        }
+    }
+}
+
+#[test]
+fn seals_are_epoch_size_invariant_and_skip_the_drain() {
+    // Four vessels for 250 minutes. At the default ingest batch the
+    // multi-writer router's last epoch before `finish` ends an hour of
+    // event time before the stream does, while `MaritimePipeline` has
+    // processed every arrival; the seal cuts in between must still
+    // fire as regular boundaries. The 40-minute watermark delay is
+    // longer than the 30-minute seal cadence, so `finish`'s drain
+    // always spans a new cut, which the seal rule skips.
+    let config = PipelineConfig::regional(bounds());
+    let mut classic = MaritimePipeline::new(config.clone());
+    let mut multi = MultiWriterPipeline::new(config, 2);
+    for i in 0..250i64 {
+        for v in 1..=4u32 {
+            let pos = Position::new(42.3 + 0.3 * f64::from(v), 3.5 + 0.004 * i as f64);
+            let fix = Fix::new(v, Timestamp::from_mins(i), pos, 10.0, 90.0);
+            classic.push_fix(fix);
+            multi.push_fix(fix);
+        }
+    }
+    let sealed = classic.report().seal_sweeps;
+    assert!(sealed > 0, "4 h of data crosses seal cuts");
+    assert_eq!(classic.finish(), multi.finish(), "events diverged");
+    assert_eq!(classic.report().seal_sweeps, sealed, "finish's drain must not seal");
+    let (c, m) = (classic.report(), multi.report());
+    assert_eq!(
+        (m.seal_sweeps, m.hot_fixes, m.cold_fixes, m.cold_segments),
+        (c.seal_sweeps, c.hot_fixes, c.cold_fixes, c.cold_segments),
+        "tiers diverged between epoch sizes"
+    );
+    for v in 1..=4u32 {
+        assert_eq!(multi.store().trajectory(v), classic.store().trajectory(v), "vessel {v}");
+    }
 }

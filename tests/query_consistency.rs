@@ -225,10 +225,9 @@ fn multi_run_and_capture(
 
 /// The multi-writer analogue of [`oracle_at`]: a fresh *single-lane*
 /// multi-writer run over the stream truncated to event time ≤ `w`.
-/// The oracle stays on the same frontend so batch granularity is
-/// identical on both sides and the comparison is exact; classic-vs-
-/// multi agreement (exact events, archives equal up to same-timestamp
-/// duplicate resolution) is enforced separately in
+/// The oracle stays on the same frontend so epoch granularity is
+/// identical on both sides; classic-vs-multi agreement (the same
+/// events, exactly equal archives) is enforced separately in
 /// `tests/scenario_determinism.rs`.
 fn multi_oracle_at(sim: &SimOutput, w: Timestamp) -> Arc<SystemSnapshot> {
     let mut pipeline = MultiWriterPipeline::new(serving_config(sim), 1).with_ingest_batch(16);

@@ -140,24 +140,15 @@ fn multi_writer_ingest_is_writer_count_invariant() {
     );
     let classic_store = classic.store();
     assert_eq!(reference.1, classic_store.len(), "archive size diverged from classic");
-    // Archives agree up to same-timestamp duplicate resolution: the
-    // classic frontend batches per push, the lanes per boundary, so
-    // when dual-receiver feeds clone a fix the two keep (possibly)
-    // different members of the duplicate pair — metres apart, same
-    // vessel, same instant. Structure must be exact; positions within
-    // receiver jitter.
+    // Archives are exactly equal, positions included: both frontends
+    // cut canonical fix batches only at tick boundaries and release
+    // ends, so same-timestamp duplicates resolve identically.
     for (id, trajectory) in &reference.2 {
-        let multi = trajectory.as_ref().unwrap();
-        let classic = classic_store.trajectory(*id).unwrap();
-        assert_eq!(multi.len(), classic.len(), "vessel {id} archive length diverged");
-        for (m, c) in multi.iter().zip(&classic) {
-            assert_eq!((m.id, m.t), (c.id, c.t), "vessel {id} archive structure diverged");
-            assert!(
-                (m.pos.lat - c.pos.lat).abs() < 1e-3 && (m.pos.lon - c.pos.lon).abs() < 1e-3,
-                "vessel {id} at {:?}: archived positions beyond duplicate jitter",
-                m.t
-            );
-        }
+        assert_eq!(
+            trajectory.as_ref(),
+            classic_store.trajectory(*id).as_ref(),
+            "vessel {id} archive diverged from classic"
+        );
     }
 }
 
